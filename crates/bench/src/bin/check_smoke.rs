@@ -2,9 +2,11 @@
 //!
 //! Four gates, all bounded to finish well inside 60 s:
 //!
-//! 1. **Exhaustive exploration** — every 2-thread workload is run under
-//!    *every* schedule at preemption bound 3 with DPOR pruning off (the
-//!    coverage claim rests on no heuristic), asserting zero invariant or
+//! 1. **Exhaustive exploration** — every 2-thread workload (including
+//!    the find-merge pair, where an unlocked find races a merge, the
+//!    freed page's reuse and a re-insert) is run under *every* schedule
+//!    at preemption bound 3 with DPOR pruning off (the coverage claim
+//!    rests on no heuristic), asserting zero invariant or
 //!    linearizability violations and no truncation;
 //! 2. **Pruned exploration** — the 3-thread mixed workload at bound 2
 //!    with commutativity pruning on, same assertions;
@@ -112,6 +114,8 @@ fn main() {
         "s1-insert-insert-split",
         "s2-insert-insert-split",
         "s2-delete-delete-merge",
+        "s1-find-merge",
+        "s2-find-merge",
     ] {
         explore_clean(name, &exhaustive);
     }

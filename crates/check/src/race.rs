@@ -291,7 +291,7 @@ impl ShadowSink for RaceDetector {
         // first, then the chosen thread records and performs its access
         // while it still holds the token, so the detector's serialized
         // order matches the physical one.
-        if self.yield_on_access {
+        if self.yield_on_access && a.schedulable {
             if let (Some(sched), Some(me)) = (&self.sched, current_vthread()) {
                 sched.yield_point(me, Pending::Start);
             }
@@ -422,6 +422,12 @@ impl WaitHook for RaceHook {
         self.det.on_release(id);
         self.explorer.at_release(owner, id, mode);
     }
+
+    fn at_optimistic(&self, id: LockId) {
+        // No edge: the ξ-epoch word is a tracked atomic, so the detector
+        // sees its loads and bumps directly.
+        self.explorer.at_optimistic(id);
+    }
 }
 
 /// The process-global lock serializing race-checked runs (the shadow
@@ -502,6 +508,7 @@ mod tests {
             acquire,
             release,
             speculative: false,
+            schedulable: true,
             site: site(),
         }
     }

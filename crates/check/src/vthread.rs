@@ -4,7 +4,8 @@
 //! Each *virtual thread* is a real OS thread, but a token-passing
 //! [`Scheduler`] guarantees at most one of them executes at a time: a
 //! thread runs until its next *yield point* — a lock acquire, a blocking
-//! wait, or a release, surfaced by a [`ceh_locks::WaitHook`]
+//! wait, a release, or an unlocked reader's ξ-epoch snapshot or
+//! validation, surfaced by a [`ceh_locks::WaitHook`]
 //! ([`ExplorerHook`]) — then parks until the controller hands it the
 //! token again. The sequence of "which thread got the token" choices is
 //! the **schedule**; replaying the same choices replays the same
@@ -54,6 +55,10 @@ pub enum Pending {
     Acquire(LockId),
     /// Just released this lock; next visible action unknown.
     AfterRelease(LockId),
+    /// Will snapshot or validate this lock's ξ-epoch for an unlocked
+    /// read; the read's footprint (directory entries, page bytes) is
+    /// not tracked, so it is dependent with everything.
+    Optimistic(LockId),
 }
 
 impl Pending {
@@ -438,6 +443,12 @@ impl WaitHook for ExplorerHook {
     fn at_release(&self, _owner: OwnerId, id: LockId, _mode: LockMode) {
         if let Some(me) = current_vthread() {
             self.sched.release_point(me, id);
+        }
+    }
+
+    fn at_optimistic(&self, id: LockId) {
+        if let Some(me) = current_vthread() {
+            self.sched.yield_point(me, Pending::Optimistic(id));
         }
     }
 }

@@ -89,6 +89,11 @@ pub struct Workload {
     pub solution: Solution,
     /// Bucket capacity (2 makes splits/merges trivial to force).
     pub bucket_capacity: usize,
+    /// Poison freed pages (see [`PageStoreConfig::poison_freed`]). Off
+    /// models a real medium, where a freed page keeps its old bytes, so
+    /// a reader that reaches one through a stale pointer finds a
+    /// plausible bucket instead of garbage.
+    pub poison_freed: bool,
     /// Ops applied single-threaded before the concurrent phase.
     pub setup: Vec<Op>,
     /// One op list per virtual thread.
@@ -103,6 +108,8 @@ impl Workload {
             s2_insert_insert_split(),
             s2_delete_delete_merge(),
             s2_mixed(),
+            s1_find_merge(),
+            s2_find_merge(),
         ]
     }
 
@@ -117,7 +124,10 @@ impl Workload {
     /// handle (for the history log). History recording is still off.
     pub fn build(&self) -> Result<(BuiltFile, Arc<LockManager>, MetricsHandle), String> {
         let metrics = MetricsHandle::new();
-        let store = PageStore::new_shared(PageStoreConfig::small(4096));
+        let store = PageStore::new_shared(PageStoreConfig {
+            poison_freed: self.poison_freed,
+            ..PageStoreConfig::small(4096)
+        });
         let locks = Arc::new(LockManager::with_metrics(
             LockManagerConfig::default(),
             &metrics,
@@ -180,6 +190,7 @@ fn s1_insert_insert_split() -> Workload {
         description: "two Solution 1 inserts force splits of the same bucket",
         solution: Solution::S1,
         bucket_capacity: 2,
+        poison_freed: true,
         // Bucket 0 (depth 0) holds {0, 1}: one more insert splits it.
         setup: vec![Op::Insert(0, 100), Op::Insert(1, 101)],
         threads: vec![
@@ -209,6 +220,7 @@ fn s2_delete_delete_merge() -> Workload {
         description: "racing deletes drive a merge + tombstone through the label-A path",
         solution: Solution::S2,
         bucket_capacity: 2,
+        poison_freed: true,
         // With identity pseudokeys and capacity 2 this leaves three
         // buckets: B0 (ld 1) = {0, 2}, B01 (ld 2) = {5}, B11 (ld 2) =
         // {7}; both concurrent deletes hit near-empty depth-2 buckets.
@@ -236,6 +248,7 @@ fn s2_mixed() -> Workload {
         description: "insert-driven split, delete-driven merge, and a reader, concurrently",
         solution: Solution::S2,
         bucket_capacity: 2,
+        poison_freed: true,
         setup: vec![
             Op::Insert(0, 100),
             Op::Insert(1, 101),
@@ -252,6 +265,39 @@ fn s2_mixed() -> Workload {
             vec![Op::Find(7), Op::Find(0)],
         ],
     }
+}
+
+/// An unlocked find racing the full life cycle of its own bucket: T1
+/// deletes the find's key 7, merging bucket 11 into 01 (Solution 1
+/// frees page 11 on the spot; Solution 2 tombstones it and frees it in
+/// its GC phase), then re-inserts 7 with a new value and inserts 3,
+/// which splits the merged bucket again onto the freed page. Freed
+/// pages keep their bytes, so a find that skipped its ξ-epoch
+/// validation could read bucket 11's old life as if it were current.
+fn s2_find_merge() -> Workload {
+    Workload {
+        name: "s2-find-merge",
+        description: "an unlocked find races a merge, the freed page's reuse and a re-insert",
+        solution: Solution::S2,
+        bucket_capacity: 2,
+        poison_freed: false,
+        // B0 (ld 1) = {0, 2}, B01 (ld 2) = {5}, B11 (ld 2) = {7}, as in
+        // s2-delete-delete-merge.
+        setup: s2_delete_delete_merge().setup,
+        threads: vec![
+            vec![Op::Find(7)],
+            vec![Op::Delete(7), Op::Insert(7, 207), Op::Insert(3, 103)],
+        ],
+    }
+}
+
+/// [`s2_find_merge`] through Solution 1's ξ-locked merge.
+fn s1_find_merge() -> Workload {
+    Workload {
+        name: "s1-find-merge",
+        ..s2_find_merge()
+    }
+    .with_solution(Solution::S1)
 }
 
 impl Workload {
@@ -283,6 +329,38 @@ mod tests {
         assert_eq!(file.as_dyn().len(), 4);
         for (k, v) in w.initial_map() {
             assert_eq!(file.as_dyn().find(Key(k)).unwrap(), Some(Value(v)));
+        }
+    }
+
+    /// Pin what the find-merge workloads' writer does when run alone:
+    /// the merge, the freed page, and its reuse by the closing split.
+    #[test]
+    fn find_merge_writer_frees_and_reuses_the_finds_page() {
+        for name in ["s1-find-merge", "s2-find-merge"] {
+            let w = Workload::by_name(name).unwrap();
+            let (file, _l, _m) = w.build().unwrap();
+            let core = file.core();
+            let page_of_7 = core.dir().lookup(identity_pseudokey(Key(7))).1;
+            let before = core.stats().snapshot();
+            let deallocs = core.store().stats().deallocs;
+            for op in &w.threads[1] {
+                op.apply(file.as_dyn()).unwrap();
+            }
+            let d = core.stats().snapshot().since(&before);
+            assert_eq!(d.merges, 1, "{name}: delete(7) merges");
+            assert_eq!(d.splits, 1, "{name}: insert(3) splits");
+            assert_eq!(
+                core.store().stats().deallocs - deallocs,
+                1,
+                "{name}: one page freed"
+            );
+            assert_eq!(
+                core.dir().lookup(identity_pseudokey(Key(7))).1,
+                page_of_7,
+                "{name}: the split reused the freed page for 7's bucket"
+            );
+            assert_eq!(file.as_dyn().find(Key(7)).unwrap(), Some(Value(207)));
+            ceh_core::invariants::check_concurrent_file(core).expect(name);
         }
     }
 

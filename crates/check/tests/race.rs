@@ -74,7 +74,7 @@ fn racy_litmus_fixture_roundtrips() {
     assert!(replay(&parsed).unwrap().is_some());
 }
 
-/// The four deterministic protocol workloads run race-clean at
+/// Every deterministic protocol workload runs race-clean at
 /// preemption bound 2 with the detector on — the lock-edge model admits
 /// the ρ/α/ξ protocol. (The CI race_smoke gate re-runs these at bound 3
 /// through `ceh check race`.)
@@ -127,4 +127,25 @@ fn race_fixture_corpus_reproduces() {
         );
     }
     assert!(seen > 0, "race fixture corpus is empty");
+}
+
+/// The committed witness for the injected unvalidated find replays
+/// clean on the correct find: its read of the freed page is refused and
+/// the find falls back to ρ locks. (With `check-inject`,
+/// tests/race_inject.rs requires it to reproduce instead.)
+#[cfg(not(feature = "check-inject"))]
+#[test]
+fn unvalidated_find_fixture_replays_clean_on_the_validated_find() {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/races/optimistic_find_unvalidated.fixture"
+    );
+    let text = std::fs::read_to_string(path).expect("committed unvalidated-find fixture");
+    let fix = ScheduleFixture::parse(&text).unwrap();
+    assert!(fix.race);
+    assert_eq!(
+        replay(&fix).unwrap(),
+        None,
+        "the validated find must not race"
+    );
 }

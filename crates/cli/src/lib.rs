@@ -206,7 +206,7 @@ impl Index {
                 let s = core.stats().snapshot();
                 format!(
                     "records: {}, depth: {}, buckets: {}, load factor: {:.2}\n\
-                     ops: {} finds ({} hits), {} inserts, {} deletes\n\
+                     ops: {} finds ({} hits, {} unlocked), {} inserts, {} deletes\n\
                      restructuring: {} splits, {} merges, {} doublings, {} halvings\n\
                      recoveries: {} wrong-bucket chases ({:.2} mean hops)",
                     core.len(),
@@ -217,6 +217,7 @@ impl Index {
                             as f64,
                     s.finds_hit + s.finds_miss,
                     s.finds_hit,
+                    s.finds_optimistic,
                     s.inserts + s.inserts_duplicate,
                     s.deletes + s.deletes_miss,
                     s.splits,

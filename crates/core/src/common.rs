@@ -10,7 +10,7 @@ use ceh_storage::{
     DiskHandle, DurableConfig, DurableStore, DurableTxn, PageBuf, PageStore, PageStoreConfig,
     RecoveryReport,
 };
-use ceh_types::bucket::Bucket;
+use ceh_types::bucket::{Bucket, Probe};
 use ceh_types::{hash_key, Error, HashFileConfig, Key, PageId, Pseudokey, Result, Value};
 
 use crate::directory::Directory;
@@ -294,7 +294,11 @@ impl FileCore {
     }
 
     /// Deallocate a page — logged when durable (`deallocbucket`).
+    /// Announced to the race detector as a plain write of the page's
+    /// allocation (see [`shadow::page_dealloc`]).
+    #[track_caller]
     pub fn dealloc_page(&self, page: PageId) -> Result<()> {
+        shadow::page_dealloc(page.0);
         match &self.wal {
             Some(w) => w.dealloc(page),
             None => self.store.dealloc(page),
@@ -484,16 +488,28 @@ impl FileCore {
         self.locks.unlock(o, id, LockMode::Xi);
     }
 
-    /// The find algorithm of Figure 5, shared verbatim by both solutions
-    /// ("The procedure for the find operation is the same as before",
-    /// §2.4). With `hold_directory` set, runs the "more pessimistic
-    /// approach" §2.2 mentions and rejects — the reader keeps its ρ-lock
-    /// on the directory until it holds the right bucket — which is the A1
-    /// ablation baseline.
+    /// The find of both solutions ("The procedure for the find operation
+    /// is the same as before", §2.4): first the unlocked probe of
+    /// [`FileCore::find_optimistic`], and when that cannot vouch for its
+    /// answer, the algorithm of Figure 5. With `hold_directory` set, runs
+    /// only the "more pessimistic approach" §2.2 mentions and rejects —
+    /// the reader keeps its ρ-lock on the directory until it holds the
+    /// right bucket — which is the A1 ablation baseline.
     pub(crate) fn find_impl(&self, key: Key, hold_directory: bool) -> Result<Option<Value>> {
         let _op = self.op_span("find", key.0);
-        let owner = self.locks.new_owner();
         let pk = (self.hasher)(key);
+        if !hold_directory {
+            if let Some(found) = self.find_optimistic(key, pk) {
+                self.stats.finds_optimistic();
+                match found {
+                    Some(_) => self.stats.finds_hit(),
+                    None => self.stats.finds_miss(),
+                }
+                return Ok(found);
+            }
+        }
+
+        let owner = self.locks.new_owner();
         let mut buf = self.new_buf();
 
         self.rho_lock(owner, LockId::Directory);
@@ -541,11 +557,56 @@ impl FileCore {
         }
         let found = current.search(key);
         self.un_rho_lock(owner, LockId::Page(oldpage));
+        self.stats.find_fallbacks();
         match found {
             Some(_) => self.stats.finds_hit(),
             None => self.stats.finds_miss(),
         }
         Ok(found)
+    }
+
+    /// The unlocked, zero-copy find: snapshot the directory's ξ-epoch,
+    /// look the pseudokey up, snapshot the page's ξ-epoch, probe the
+    /// page's bytes in place, then validate the page and the directory.
+    ///
+    /// ρ conflicts only with ξ (§2.1): inserters and plain deleters
+    /// rewrite pages under α while ρ readers look on. So a read that no
+    /// ξ holder overlapped — on the directory from lookup to the end, on
+    /// the page across the probe — saw a state that a reader holding
+    /// both ρ-locks could have seen. Returns `None` (take the locked
+    /// path) on an active or changed epoch, an unallocated or
+    /// unreadable page, or a wrong bucket: the `next` walk stays with
+    /// the locked path.
+    #[inline]
+    fn find_optimistic(&self, key: Key, pk: Pseudokey) -> Option<Option<Value>> {
+        let dir_epoch = self.locks.xi_epoch(LockId::Directory)?;
+        let (_depth, page) = self.dir.lookup(pk);
+        let page_epoch = self.locks.xi_epoch(LockId::Page(page))?;
+        // Dropped without a commit on every early return: the read is
+        // discarded, so the race detector discards it too.
+        let spec = shadow::speculate();
+        shadow::page_alloc_read_speculative(page.0);
+        shadow::page_read(page.0);
+        let probe = |bytes: &[u8]| ceh_types::bucket::probe(bytes, key, pk);
+        #[cfg(not(feature = "check-inject"))]
+        let probed = self.store.read_in_place(page, probe)?;
+        // check-inject: trust whatever the slot holds, freed or not.
+        #[cfg(feature = "check-inject")]
+        let probed = self.store.read_in_place_unchecked(page, probe)?;
+        let found = match probed {
+            Ok(Probe::Hit(v)) => Some(v),
+            Ok(Probe::Miss) => None,
+            Ok(Probe::WrongBucket(_)) | Err(_) => return None,
+        };
+        // check-inject: skip both validations.
+        let valid = cfg!(feature = "check-inject")
+            || (self.locks.xi_validate(LockId::Page(page), page_epoch)
+                && self.locks.xi_validate(LockId::Directory, dir_epoch));
+        if !valid {
+            return None;
+        }
+        spec.commit();
+        Some(found)
     }
 }
 

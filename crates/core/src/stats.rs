@@ -82,6 +82,12 @@ op_stats! {
     finds_hit,
     /// Completed find operations that did not.
     finds_miss,
+    /// Finds answered by the unlocked, zero-copy probe.
+    finds_optimistic,
+    /// Finds answered by the ρ-locked path (the probe could not vouch
+    /// for its answer, or the A1 pessimistic find was asked for).
+    /// `finds_hit + finds_miss == finds_optimistic + find_fallbacks`.
+    find_fallbacks,
     /// Inserts that added a key.
     inserts,
     /// Inserts that found the key already present.

@@ -22,6 +22,11 @@
 //!   request waited.
 //! * **`at_release`** — fired after a release has been applied (waiters on
 //!   the resource are now eligible).
+//! * **`at_optimistic`** — fired just after an unlocked reader snapshots
+//!   a ξ-epoch ([`crate::LockManager::xi_epoch`]) and just before it
+//!   validates one ([`crate::LockManager::xi_validate`]). Unlocked reads
+//!   take no lock, so without this point a scheduler could not run a
+//!   writer between a find's snapshot, its read and its validation.
 //!
 //! A hook is per-manager and must be cheap to consult: the fast path is
 //! one relaxed atomic load when no hook is installed. All callbacks run
@@ -66,5 +71,13 @@ pub trait WaitHook: Send + Sync {
     /// waiters on the resource are eligible to be re-checked.
     fn at_release(&self, owner: OwnerId, id: LockId, mode: LockMode) {
         let _ = (owner, id, mode);
+    }
+
+    /// An unlocked reader has just snapshotted, or is about to validate,
+    /// the ξ-epoch of `id`. Called with no lock-table mutex held; a
+    /// scheduler may suspend the caller here like at
+    /// [`WaitHook::at_acquire`].
+    fn at_optimistic(&self, id: LockId) {
+        let _ = id;
     }
 }

@@ -29,6 +29,12 @@
 //!   waiting ξ would deadlock; bypassing is both safe and faithful;
 //! * **reentrancy**: the same owner may acquire the same (resource, mode)
 //!   multiple times; counts nest;
+//! * **ξ-epochs** ([`LockManager::xi_epoch`], [`LockManager::xi_validate`]):
+//!   one word for the directory and a striped table for pages, bumped
+//!   under the shard mutex at every ξ grant and final ξ release. ρ
+//!   conflicts only with ξ, so a reader that validates an unchanged,
+//!   quiescent epoch around an unlocked read saw what a ρ holder could
+//!   have seen — the find fast path of `ceh-core`;
 //! * **statistics** ([`LockStats`]) — grants, waits, wait time by mode —
 //!   consumed by the benchmark harness;
 //! * **wait-point hooks** ([`WaitHook`]): the acquire/block/release seam

@@ -9,6 +9,7 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::hook::WaitHook;
 use crate::mode::{compatible, LockId, LockMode};
+use crate::shadow::{unscheduled, TrackedAtomicU64};
 use crate::stats::{LockStats, LockStatsSnapshot};
 
 /// Identifies a lock-holding process (one logical operation).
@@ -124,6 +125,70 @@ struct Shard {
     cv: Condvar,
 }
 
+/// Bits of a ξ-epoch word that count the active ξ holders; the bits
+/// above them are a generation counter.
+const XI_ACTIVE_BITS: u32 = 16;
+const XI_ACTIVE_MASK: u64 = (1 << XI_ACTIVE_BITS) - 1;
+/// One generation step.
+const XI_GEN: u64 = 1 << XI_ACTIVE_BITS;
+/// Page epoch stripes (a power of two). Page ids are dense, so the low
+/// bits of the id spread them evenly.
+const XI_PAGE_STRIPES: usize = 1024;
+
+/// The directory's epoch word, on a cache line of its own: every find
+/// loads it, and the lock table's hot counters must not share its line.
+#[repr(align(64))]
+struct PaddedEpoch(TrackedAtomicU64);
+
+/// ξ-epoch words: one for the directory and a striped table for pages.
+///
+/// Each word is bumped under the shard mutex when a ξ is granted
+/// (active count +1, generation +1) and when a ξ grant leaves the table
+/// (active count −1, generation +1). An unlocked reader that snapshots
+/// a quiescent word before reading and finds it unchanged afterwards
+/// knows no ξ holder ran on that resource in between — and ξ is the
+/// only mode a ρ holder would have excluded. Pages sharing a stripe can
+/// report conflicts they did not have, never miss one.
+struct XiEpochs {
+    dir: PaddedEpoch,
+    pages: Box<[TrackedAtomicU64]>,
+}
+
+impl XiEpochs {
+    fn new() -> Self {
+        XiEpochs {
+            dir: PaddedEpoch(TrackedAtomicU64::new(0, "locks.xi_epoch.dir")),
+            pages: (0..XI_PAGE_STRIPES)
+                .map(|_| TrackedAtomicU64::new(0, "locks.xi_epoch.page"))
+                .collect(),
+        }
+    }
+
+    #[inline]
+    fn word(&self, id: LockId) -> &TrackedAtomicU64 {
+        match id {
+            LockId::Directory => &self.dir.0,
+            LockId::Page(p) => &self.pages[(p.0 as usize) & (XI_PAGE_STRIPES - 1)],
+        }
+    }
+
+    /// A ξ on `id` was granted. Called with the shard mutex held, so
+    /// the bump is no schedule point for the race detector.
+    fn begin(&self, id: LockId) {
+        let prev = unscheduled(|| self.word(id).fetch_add(XI_GEN + 1, Ordering::AcqRel));
+        debug_assert!(
+            prev & XI_ACTIVE_MASK < XI_ACTIVE_MASK,
+            "ξ-epoch count overflow"
+        );
+    }
+
+    /// A ξ grant on `id` left the table. Called with the shard mutex held.
+    fn end(&self, id: LockId) {
+        let prev = unscheduled(|| self.word(id).fetch_add(XI_GEN - 1, Ordering::AcqRel));
+        debug_assert!(prev & XI_ACTIVE_MASK > 0, "ξ-epoch ended twice");
+    }
+}
+
 /// The three-mode lock manager. See the crate docs for semantics.
 ///
 /// ```
@@ -154,6 +219,7 @@ pub struct LockManager {
     /// Fast-path flag for `wait_hook` (one relaxed load when unset).
     hooked: AtomicBool,
     wait_hook: Mutex<Option<Arc<dyn WaitHook>>>,
+    xi: XiEpochs,
 }
 
 impl std::fmt::Debug for LockManager {
@@ -198,6 +264,7 @@ impl LockManager {
             stats: LockStats::with_handle(metrics),
             hooked: AtomicBool::new(false),
             wait_hook: Mutex::new(None),
+            xi: XiEpochs::new(),
         }
     }
 
@@ -237,6 +304,56 @@ impl LockManager {
     /// Reset statistics (between benchmark phases).
     pub fn reset_stats(&self) {
         self.stats.reset()
+    }
+
+    /// Snapshot the ξ-epoch of `id` for an unlocked read: `None` while
+    /// some owner holds ξ on it (or on a page sharing its stripe), else
+    /// a word to hand to [`LockManager::xi_validate`] after the read.
+    ///
+    /// A read bracketed by a successful snapshot and validation saw no
+    /// ξ holder on `id` — the state a ρ holder would have seen. Fires
+    /// [`WaitHook::at_optimistic`] after the load, so a scheduler can run
+    /// a writer between the snapshot and the read it guards.
+    #[track_caller]
+    #[inline]
+    pub fn xi_epoch(&self, id: LockId) -> Option<u64> {
+        // Acquire: pairs with the AcqRel bump at ξ release, so the reads
+        // that follow see everything the last ξ holder wrote.
+        let v = self.xi.word(id).load(Ordering::Acquire);
+        if let Some(h) = self.hook() {
+            h.at_optimistic(id);
+        }
+        (v & XI_ACTIVE_MASK == 0).then_some(v)
+    }
+
+    /// True iff no ξ on `id` (or its stripe) has been granted since
+    /// [`LockManager::xi_epoch`] returned `v`. Fires
+    /// [`WaitHook::at_optimistic`] before the load, so a scheduler can run
+    /// a writer between the read and its validation.
+    #[track_caller]
+    #[inline]
+    #[must_use]
+    pub fn xi_validate(&self, id: LockId, v: u64) -> bool {
+        if let Some(h) = self.hook() {
+            h.at_optimistic(id);
+        }
+        // The reads being validated were atomic loads or page reads under
+        // the page latch; a ξ holder's write seen by them was preceded by
+        // its begin bump, which this load therefore sees (coherence).
+        self.xi.word(id).load(Ordering::Acquire) == v
+    }
+
+    /// Record a new grant in `rs`, opening the ξ-epoch of `id` if the
+    /// grant is a ξ. Called with the shard mutex held.
+    fn push_grant(&self, rs: &mut ResourceState, id: LockId, owner: OwnerId, mode: LockMode) {
+        rs.granted.push(Grant {
+            owner,
+            mode,
+            count: 1,
+        });
+        if mode == LockMode::Xi {
+            self.xi.begin(id);
+        }
     }
 
     fn shard(&self, id: LockId) -> &Shard {
@@ -280,11 +397,7 @@ impl LockManager {
         let ticket = self.next_ticket.fetch_add(1, Ordering::Relaxed);
 
         if rs.grantable(owner, mode, is_conversion, ticket) {
-            rs.granted.push(Grant {
-                owner,
-                mode,
-                count: 1,
-            });
+            self.push_grant(rs, id, owner, mode);
             self.stats.record_grant(mode, false, target);
             if is_conversion {
                 self.stats.record_conversion(target);
@@ -318,7 +431,7 @@ impl LockManager {
                 state = shard.state.lock();
                 let rs = state.get_mut(&id).expect("resource with waiter vanished");
                 if rs.grantable(owner, mode, is_conversion, ticket) {
-                    Self::promote(rs, owner, mode, is_conversion, ticket);
+                    self.promote(rs, id, owner, mode, is_conversion, ticket);
                     self.stats
                         .record_wait_end(wait_span, mode, target, wait_started.elapsed());
                     if is_conversion {
@@ -339,7 +452,7 @@ impl LockManager {
                         // become grantable while timing out.
                         let rs = state.get_mut(&id).expect("resource with waiter vanished");
                         if rs.grantable(owner, mode, is_conversion, ticket) {
-                            Self::promote(rs, owner, mode, is_conversion, ticket);
+                            self.promote(rs, id, owner, mode, is_conversion, ticket);
                             self.stats.record_wait_end(
                                 wait_span,
                                 mode,
@@ -368,7 +481,7 @@ impl LockManager {
             }
             let rs = state.get_mut(&id).expect("resource with waiter vanished");
             if rs.grantable(owner, mode, is_conversion, ticket) {
-                Self::promote(rs, owner, mode, is_conversion, ticket);
+                self.promote(rs, id, owner, mode, is_conversion, ticket);
                 self.stats
                     .record_wait_end(wait_span, mode, target, wait_started.elapsed());
                 if is_conversion {
@@ -384,7 +497,9 @@ impl LockManager {
     }
 
     fn promote(
+        &self,
         rs: &mut ResourceState,
+        id: LockId,
         owner: OwnerId,
         mode: LockMode,
         is_conversion: bool,
@@ -400,11 +515,7 @@ impl LockManager {
             .position(|w| w.ticket == ticket)
             .expect("waiter not in its queue");
         list.remove(pos);
-        rs.granted.push(Grant {
-            owner,
-            mode,
-            count: 1,
-        });
+        self.push_grant(rs, id, owner, mode);
     }
 
     /// Try to acquire without blocking. Returns whether the lock was
@@ -435,11 +546,7 @@ impl LockManager {
         let is_conversion = rs.holds(owner);
         let ticket = self.next_ticket.fetch_add(1, Ordering::Relaxed);
         if rs.grantable(owner, mode, is_conversion, ticket) {
-            rs.granted.push(Grant {
-                owner,
-                mode,
-                count: 1,
-            });
+            self.push_grant(rs, id, owner, mode);
             self.stats.record_grant(mode, false, target);
             drop(state);
             if let Some(h) = &hook {
@@ -472,6 +579,9 @@ impl LockManager {
         rs.granted[pos].count -= 1;
         if rs.granted[pos].count == 0 {
             rs.granted.remove(pos);
+            if mode == LockMode::Xi {
+                self.xi.end(id);
+            }
         }
         self.stats.record_release(mode);
         let has_waiters = !rs.conversions.is_empty() || !rs.queue.is_empty();
@@ -493,9 +603,17 @@ impl LockManager {
         for shard in self.shards.iter() {
             let mut state = shard.state.lock();
             let mut touched = false;
-            state.retain(|_, rs| {
+            state.retain(|&id, rs| {
                 let before = rs.granted.len();
-                rs.granted.retain(|g| g.owner != owner);
+                rs.granted.retain(|g| {
+                    if g.owner != owner {
+                        return true;
+                    }
+                    if g.mode == LockMode::Xi {
+                        self.xi.end(id);
+                    }
+                    false
+                });
                 touched |= rs.granted.len() != before;
                 !rs.is_empty()
             });

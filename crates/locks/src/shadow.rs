@@ -53,6 +53,9 @@ pub enum ShadowLoc {
     Addr(usize),
     /// A whole bucket page behind the page store.
     Page(u64),
+    /// A page's allocation: written when the page is freed, read by an
+    /// unlocked reader that relies on it still being allocated.
+    PageAlloc(u64),
 }
 
 /// What kind of access a [`ShadowAccess`] records.
@@ -86,6 +89,11 @@ pub struct ShadowAccess {
     /// True for a plain read inside a [`speculate`] scope: buffered and
     /// checked at commit time instead of immediately.
     pub speculative: bool,
+    /// False for an access made inside [`unscheduled`] (a lock-manager
+    /// critical section): a scheduler must not park the thread there,
+    /// since every other thread's next lock call would block on the
+    /// mutex it holds.
+    pub schedulable: bool,
     /// Source location of the access (via `#[track_caller]`).
     pub site: &'static std::panic::Location<'static>,
 }
@@ -144,6 +152,7 @@ fn emit(
     site: &'static std::panic::Location<'static>,
 ) {
     if let Some(s) = sink() {
+        let schedulable = UNSCHEDULED.with(|c| c.get() == 0);
         s.on_access(&ShadowAccess {
             loc,
             label,
@@ -151,9 +160,31 @@ fn emit(
             acquire: has_acquire(order),
             release: has_release(order),
             speculative,
+            schedulable,
             site,
         });
     }
+}
+
+#[cfg(feature = "check-race")]
+thread_local! {
+    /// Nesting depth of [`unscheduled`] scopes on this thread.
+    static UNSCHEDULED: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
+}
+
+/// Run `f`, whose shadowed accesses are still observed (their
+/// happens-before edges count) but are never schedule points. For
+/// accesses made while holding an internal mutex — the lock manager's
+/// ξ-epoch bumps — where parking the thread would deadlock the
+/// serialized run.
+#[inline]
+pub fn unscheduled<R>(f: impl FnOnce() -> R) -> R {
+    #[cfg(feature = "check-race")]
+    UNSCHEDULED.with(|c| c.set(c.get() + 1));
+    let r = f();
+    #[cfg(feature = "check-race")]
+    UNSCHEDULED.with(|c| c.set(c.get() - 1));
+    r
 }
 
 /// Does `order` give the access acquire semantics? Classifies the
@@ -440,9 +471,8 @@ tracked_atomic!(
 /// acquire-atomic access on the page's location: the page store
 /// serializes page-granular reads and writes internally, so pages cannot
 /// race at this granularity (the lock protocol above, not this call, is
-/// what keeps their *contents* coherent — and the optimistic read path
-/// must switch contents reads to [`Tracked::get_speculative`] under a
-/// bucket version word).
+/// what keeps their *contents* coherent; the unlocked find additionally
+/// records [`page_alloc_read_speculative`]).
 #[track_caller]
 #[inline]
 pub fn page_read(page: u64) {
@@ -473,6 +503,49 @@ pub fn page_write(page: u64) {
         AccessKind::AtomicStore,
         Ordering::Release,
         false,
+        std::panic::Location::caller(),
+    );
+}
+
+/// Record a page deallocation: a **plain** write to the page's
+/// allocation location. Deallocations happen under ξ on the page, so a
+/// ρ-locked reader is always ordered with them by the lock edges; an
+/// unlocked reader must be ordered by its validation instead (see
+/// [`page_alloc_read_speculative`]).
+#[track_caller]
+#[inline]
+pub fn page_dealloc(page: u64) {
+    #[cfg(not(feature = "check-race"))]
+    let _ = page;
+    #[cfg(feature = "check-race")]
+    emit(
+        ShadowLoc::PageAlloc(page),
+        "bucket.page.alloc",
+        AccessKind::Write,
+        PLAIN,
+        false,
+        std::panic::Location::caller(),
+    );
+}
+
+/// An unlocked reader, inside a [`speculate`] scope, relies on `page`
+/// being allocated. Checked at [`Speculation::commit`]: the page's last
+/// deallocation must happen-before the commit point, which the
+/// validating `Acquire` load of the page's ξ-epoch supplies. A reader
+/// that commits a read of a page freed under it without validating is
+/// reported as a race with the [`page_dealloc`].
+#[track_caller]
+#[inline]
+pub fn page_alloc_read_speculative(page: u64) {
+    #[cfg(not(feature = "check-race"))]
+    let _ = page;
+    #[cfg(feature = "check-race")]
+    emit(
+        ShadowLoc::PageAlloc(page),
+        "bucket.page.alloc",
+        AccessKind::Read,
+        PLAIN,
+        true,
         std::panic::Location::caller(),
     );
 }

@@ -471,6 +471,51 @@ impl PageStore {
         Ok(())
     }
 
+    /// Run `f` on page `page`'s bytes in place, under the page latch,
+    /// instead of copying them out: the zero-copy read of the find fast
+    /// path. Atomic with respect to concurrent [`PageStore::write`]s of
+    /// the same page, and counted as a read.
+    ///
+    /// Returns `None` — and records nothing — for a page that is not
+    /// allocated and for file backing (whose bytes live in the file,
+    /// not in the slot). Keep `f` short: it runs with the latch held.
+    #[inline]
+    pub fn read_in_place<R>(&self, page: PageId, f: impl FnOnce(&[u8]) -> R) -> Option<R> {
+        self.read_in_place_impl(page, true, f)
+    }
+
+    /// [`PageStore::read_in_place`] without its allocated check: reads
+    /// whatever a freed slot still holds. Only for the `check-inject`
+    /// mutation of the find fast path.
+    #[cfg(feature = "check-inject")]
+    pub fn read_in_place_unchecked<R>(
+        &self,
+        page: PageId,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Option<R> {
+        self.read_in_place_impl(page, false, f)
+    }
+
+    #[inline]
+    fn read_in_place_impl<R>(
+        &self,
+        page: PageId,
+        check_allocated: bool,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Option<R> {
+        if !matches!(self.backing, Backing::Memory) {
+            return None;
+        }
+        let slot = self.slot(page).ok()?;
+        if check_allocated && !slot.allocated.load(Ordering::Acquire) {
+            return None;
+        }
+        self.simulate_latency();
+        let r = f(&slot.bytes.lock());
+        self.stats.record_read();
+        Some(r)
+    }
+
     /// Write a whole page from `buf` (`putbucket(page, buffer)`). Atomic
     /// with respect to concurrent [`PageStore::read`]s of the same page.
     pub fn write(&self, page: PageId, buf: &PageBuf) -> Result<()> {
@@ -533,6 +578,35 @@ mod tests {
         let mut out = s.new_buf();
         s.read(p, &mut out).unwrap();
         assert_eq!(&*out, &*buf);
+    }
+
+    #[test]
+    fn read_in_place_sees_written_bytes_and_counts_a_read() {
+        let s = store();
+        let p = s.alloc().unwrap();
+        let mut buf = s.new_buf();
+        buf[5] = 0x5A;
+        s.write(p, &buf).unwrap();
+        let reads = s.stats().reads;
+        assert_eq!(s.read_in_place(p, |b| (b.len(), b[5])), Some((64, 0x5A)));
+        assert_eq!(s.stats().reads, reads + 1);
+    }
+
+    #[test]
+    fn read_in_place_refuses_unallocated_and_unknown_pages() {
+        let s = PageStore::new(PageStoreConfig {
+            page_size: 64,
+            initial_pages: 2,
+            poison_freed: false,
+            ..Default::default()
+        });
+        let p = s.alloc().unwrap();
+        s.dealloc(p).unwrap();
+        assert_eq!(s.read_in_place(p, |_| ()), None, "freed page");
+        assert_eq!(s.read_in_place(PageId(1), |_| ()), None, "never allocated");
+        assert_eq!(s.read_in_place(PageId(99), |_| ()), None, "no such slot");
+        assert_eq!(s.read_in_place(PageId::NULL, |_| ()), None, "null page");
+        assert_eq!(s.stats().reads, 0, "refusals are not reads");
     }
 
     #[test]
@@ -651,6 +725,11 @@ mod tests {
         let mut buf = s.new_buf();
         s.read(a, &mut buf).unwrap();
         assert!(buf.iter().all(|&x| x == 0x11), "live page survived reopen");
+        assert_eq!(
+            s.read_in_place(a, |_| ()),
+            None,
+            "no in-place reads of a file"
+        );
         s.read(b, &mut buf).unwrap();
         assert!(buf.is_poisoned(), "freed page poisoned on disk");
         // Recovery-style dealloc of the poisoned page, then reuse it.

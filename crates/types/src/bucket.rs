@@ -258,6 +258,53 @@ impl Bucket {
 
     /// Decode from a page buffer, validating the header.
     pub fn decode(page: &[u8]) -> Result<Bucket> {
+        let Header {
+            localdepth,
+            commonbits,
+            count,
+        } = Header::parse(page)?;
+        let next_mgr = ManagerId(u32::from_le_bytes(
+            page[20..24].try_into().expect("slice len"),
+        ));
+        let next = next_link(page);
+        let prev_mgr = ManagerId(u32::from_le_bytes(
+            page[32..36].try_into().expect("slice len"),
+        ));
+        let prev = PageId(u64::from_le_bytes(
+            page[40..48].try_into().expect("slice len"),
+        ));
+        let version = u64::from_le_bytes(page[48..56].try_into().expect("slice len"));
+        let records = record_bytes(page, count)
+            .map(|r| {
+                let (key, value) = record_at(r);
+                Record { key, value }
+            })
+            .collect();
+        Ok(Bucket {
+            localdepth,
+            commonbits,
+            next,
+            next_mgr,
+            prev,
+            prev_mgr,
+            version,
+            records,
+        })
+    }
+}
+
+/// The header fields every reader of a page validates.
+struct Header {
+    localdepth: u32,
+    commonbits: u64,
+    count: usize,
+}
+
+impl Header {
+    /// Check the magic and bound `localdepth` and `count`, so a page of
+    /// garbage (poison, zeroes, a torn frame) is refused before any
+    /// record is read.
+    fn parse(page: &[u8]) -> Result<Header> {
         if page.len() < BUCKET_HEADER_BYTES {
             return Err(Error::Corrupt(format!(
                 "page of {} bytes is too small",
@@ -276,46 +323,63 @@ impl Bucket {
                 "localdepth {localdepth} out of range"
             )));
         }
-        if count > Self::capacity_for(page.len()) {
+        if count > Bucket::capacity_for(page.len()) {
             return Err(Error::Corrupt(format!(
                 "count {count} exceeds page capacity"
             )));
         }
-        let next_mgr = ManagerId(u32::from_le_bytes(
-            page[20..24].try_into().expect("slice len"),
-        ));
-        let next = PageId(u64::from_le_bytes(
-            page[24..32].try_into().expect("slice len"),
-        ));
-        let prev_mgr = ManagerId(u32::from_le_bytes(
-            page[32..36].try_into().expect("slice len"),
-        ));
-        let prev = PageId(u64::from_le_bytes(
-            page[40..48].try_into().expect("slice len"),
-        ));
-        let version = u64::from_le_bytes(page[48..56].try_into().expect("slice len"));
-        let mut records = Vec::with_capacity(count);
-        let mut off = BUCKET_HEADER_BYTES;
-        for _ in 0..count {
-            let key = u64::from_le_bytes(page[off..off + 8].try_into().expect("slice len"));
-            let value = u64::from_le_bytes(page[off + 8..off + 16].try_into().expect("slice len"));
-            records.push(Record {
-                key: Key(key),
-                value: Value(value),
-            });
-            off += RECORD_BYTES;
-        }
-        Ok(Bucket {
+        Ok(Header {
             localdepth,
             commonbits,
-            next,
-            next_mgr,
-            prev,
-            prev_mgr,
-            version,
-            records,
+            count,
         })
     }
+}
+
+fn next_link(page: &[u8]) -> PageId {
+    PageId(u64::from_le_bytes(
+        page[24..32].try_into().expect("slice len"),
+    ))
+}
+
+/// The first `count` encoded records (`count` already bounded by
+/// [`Header::parse`]).
+fn record_bytes(page: &[u8], count: usize) -> std::slice::ChunksExact<'_, u8> {
+    page[BUCKET_HEADER_BYTES..BUCKET_HEADER_BYTES + count * RECORD_BYTES].chunks_exact(RECORD_BYTES)
+}
+
+fn record_at(r: &[u8]) -> (Key, Value) {
+    let key = u64::from_le_bytes(r[0..8].try_into().expect("slice len"));
+    let value = u64::from_le_bytes(r[8..16].try_into().expect("slice len"));
+    (Key(key), Value(value))
+}
+
+/// What [`probe`] found on an encoded bucket page.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Probe {
+    /// The bucket owns the pseudokey and holds the key with this value.
+    Hit(Value),
+    /// The bucket owns the pseudokey and does not hold the key.
+    Miss,
+    /// The bucket does not own the pseudokey — it is deleted, or split
+    /// since the directory entry was read. The search continues at the
+    /// carried `next` link.
+    WrongBucket(PageId),
+}
+
+/// Search an encoded bucket page for `key` in place: the header checks
+/// of [`Bucket::decode`], then the wrong-bucket test of [`Bucket::owns`],
+/// then a scan of the records. Allocates nothing and decodes no bucket —
+/// the find fast path runs it on the page store's own bytes.
+pub fn probe(page: &[u8], key: Key, pk: Pseudokey) -> Result<Probe> {
+    let h = Header::parse(page)?;
+    if h.commonbits == DELETED || !pk.matches(h.commonbits, h.localdepth) {
+        return Ok(Probe::WrongBucket(next_link(page)));
+    }
+    Ok(record_bytes(page, h.count)
+        .map(record_at)
+        .find(|&(k, _)| k == key)
+        .map_or(Probe::Miss, |(_, v)| Probe::Hit(v)))
 }
 
 #[cfg(test)]
@@ -340,6 +404,48 @@ mod tests {
         let mut page = vec![0u8; 256];
         b.encode(&mut page).unwrap();
         assert_eq!(Bucket::decode(&page).unwrap(), b);
+    }
+
+    #[test]
+    fn probe_agrees_with_decode_then_search() {
+        let b = sample();
+        let mut page = vec![0u8; 256];
+        b.encode(&mut page).unwrap();
+        let owned = Pseudokey(0b10101);
+        assert_eq!(probe(&page, Key(200), owned).unwrap(), Probe::Hit(Value(2)));
+        assert_eq!(probe(&page, Key(300), owned).unwrap(), Probe::Miss);
+        // Another bucket's pseudokey: redirected along `next`, even for
+        // a key that happens to be stored here.
+        assert_eq!(
+            probe(&page, Key(100), Pseudokey(0b10100)).unwrap(),
+            Probe::WrongBucket(PageId(9))
+        );
+    }
+
+    #[test]
+    fn probe_sends_deleted_buckets_along_next() {
+        let mut b = sample();
+        b.mark_deleted();
+        let mut page = vec![0u8; 256];
+        b.encode(&mut page).unwrap();
+        assert_eq!(
+            probe(&page, Key(100), Pseudokey(0b10101)).unwrap(),
+            Probe::WrongBucket(PageId(9))
+        );
+    }
+
+    #[test]
+    fn probe_refuses_garbage_pages() {
+        let pk = Pseudokey(0);
+        for page in [vec![0xDEu8; 256], vec![0u8; 256], vec![0u8; 8]] {
+            assert!(matches!(probe(&page, Key(1), pk), Err(Error::Corrupt(_))));
+        }
+        // A valid header whose count overruns the page.
+        let mut page = vec![0u8; Bucket::page_size_for(2)];
+        Bucket::new(0, 0).encode(&mut page).unwrap();
+        page[16..20].copy_from_slice(&3u32.to_le_bytes());
+        assert!(matches!(probe(&page, Key(1), pk), Err(Error::Corrupt(_))));
+        assert!(matches!(Bucket::decode(&page), Err(Error::Corrupt(_))));
     }
 
     #[test]

@@ -51,6 +51,11 @@ echo "=== storage smoke ==="
 # read back from frames.ceh/wal.ceh — zero acked-data loss.
 CEH_QUICK=1 cargo test -q -p ceh-cli --release --test storage_smoke
 
+echo "=== perfbench tests ==="
+# The repository benchmark is its own package (perfbench/, not a
+# workspace member): its correctness gates, catalog and report tests.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "=== metrics smoke ==="
 # 10k-op mixed workload; the emitted RunReport JSON must validate
 # against schemas/run_report.schema.json and conserve operation counts.
@@ -82,17 +87,19 @@ cargo test -q -p ceh-check --release --features check-inject --test inject
 echo "=== race smoke (check-race) ==="
 # The happens-before race detector: litmus-corpus verdicts must match
 # (racy programs caught with a minimized two-access witness, race-free
-# programs clean), the four deterministic workloads must be race-clean
+# programs clean), the six deterministic workloads must be race-clean
 # at preemption bound 3, and the committed race-fixture corpus must
 # still *reproduce* its races. Separate invocations: the feature
 # compiles the shadow-access seam in.
 cargo run -q --release -p ceh-cli --features check-race --bin ceh -- check race --bound 3
 cargo test -q -p ceh-check --release --features check-race --test race
 
-echo "=== race smoke (injected seqlock bug) ==="
+echo "=== race smoke (injected seqlock bug, unvalidated find) ==="
 # The check-inject missing-Release seqlock writer must be caught, blamed
 # on the payload via the committed speculative read, minimized, and
-# reproducible from its committed fixture.
+# reproducible from its committed fixture. So must the check-inject find
+# that skips its ξ-epoch validation: on s1-find-merge it commits a read
+# of a page freed under it.
 cargo test -q -p ceh-check --release --features "check-race check-inject" --test race_inject
 
 echo "=== schedule-fixture corpus ==="
