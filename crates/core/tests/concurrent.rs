@@ -28,7 +28,6 @@ fn watchdog_core(cfg: HashFileConfig) -> FileCore {
     });
     let locks = Arc::new(LockManager::new(LockManagerConfig {
         watchdog: Some(Duration::from_secs(20)),
-        ..Default::default()
     }));
     FileCore::with_parts(cfg, store, locks, hash_key).unwrap()
 }

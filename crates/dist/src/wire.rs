@@ -16,6 +16,7 @@
 //! this encoding — a node that changes the layout below must bump
 //! [`ceh_net::wire::WIRE_VERSION`].
 
+use ceh_locks::LockManager;
 use ceh_net::wire::{WireError, WireMsg, WireReader, WireWriter};
 use ceh_net::PortId;
 use ceh_obs::{SpanId, TraceCtx};
@@ -141,13 +142,25 @@ fn put_env(w: &mut WireWriter, env: &OpEnvelope) {
     put_ctx(w, env.ctx);
 }
 
+/// A page id the receiving bucket manager will lock: beyond the lock
+/// manager's range it can name no page, and locking it would panic.
+fn get_lockable_page(r: &mut WireReader<'_>) -> Result<PageId, WireError> {
+    let page = r.u64()?;
+    if page >= LockManager::MAX_PAGES {
+        return Err(WireError::Malformed(
+            "page id beyond the lock manager's range",
+        ));
+    }
+    Ok(PageId(page))
+}
+
 fn get_env(r: &mut WireReader<'_>) -> Result<OpEnvelope, WireError> {
     Ok(OpEnvelope {
         op: get_op(r)?,
         key: Key(r.u64()?),
         value: Value(r.u64()?),
         txn: r.u64()?,
-        page: PageId(r.u64()?),
+        page: get_lockable_page(r)?,
         user_port: PortId(r.u64()?),
         dirmgr_port: PortId(r.u64()?),
         pseudokey: Pseudokey(r.u64()?),
@@ -552,7 +565,7 @@ impl WireMsg for Msg {
                 link: get_link(&mut r)?,
             },
             TAG_MERGEDOWN => Msg::Mergedown {
-                partner: PageId(r.u64()?),
+                partner: get_lockable_page(&mut r)?,
                 localdepth: r.u32()?,
                 reply_port: PortId(r.u64()?),
             },
@@ -566,7 +579,7 @@ impl WireMsg for Msg {
                 fences: get_fences(&mut r)?,
             },
             TAG_MERGEUP => Msg::Mergeup {
-                partner: PageId(r.u64()?),
+                partner: get_lockable_page(&mut r)?,
                 target: PageId(r.u64()?),
                 target_mgr: ManagerId(r.u32()?),
                 reply_port: PortId(r.u64()?),
@@ -600,7 +613,7 @@ impl WireMsg for Msg {
                     let n = r.seq_len(8)?;
                     let mut pages = Vec::with_capacity(n);
                     for _ in 0..n {
-                        pages.push(PageId(r.u64()?));
+                        pages.push(get_lockable_page(&mut r)?);
                     }
                     pages
                 },
@@ -890,6 +903,36 @@ mod tests {
             Msg::wire_decode(&bytes),
             Err(WireError::Malformed(_))
         ));
+    }
+
+    #[test]
+    fn page_ids_beyond_the_lock_managers_range_are_rejected() {
+        let mut env = sample_env();
+        env.page = PageId(LockManager::MAX_PAGES);
+        for msg in [
+            Msg::Wrongbucket {
+                env,
+                buckmgr_port: PortId::for_node(2, 3),
+            },
+            Msg::Mergedown {
+                partner: PageId::NULL,
+                localdepth: 2,
+                reply_port: PortId::for_node(1, 1),
+            },
+            Msg::GarbageCollect {
+                pages: vec![PageId(7), PageId(u64::MAX - 1)],
+                gc_id: 1,
+                ack_port: PortId::for_node(1, 1),
+                ctx: TraceCtx::NONE,
+            },
+        ] {
+            let mut w = WireWriter::new();
+            msg.wire_encode(&mut w);
+            assert!(matches!(
+                Msg::wire_decode(&w.into_bytes()),
+                Err(WireError::Malformed(_))
+            ));
+        }
     }
 
     #[test]

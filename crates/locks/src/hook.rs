@@ -8,14 +8,16 @@
 //! * **`at_acquire`** — fired before an acquisition attempt is evaluated
 //!   (the thread is *about to* lock). A scheduler may suspend the caller
 //!   here to explore a different interleaving.
-//! * **`at_block`** — fired, with no lock-table mutex held, each time a
+//! * **`at_block`** — fired, with no manager-internal mutex held, each time a
 //!   queued request finds itself ungrantable. The manager re-checks
 //!   grantability when the call returns, so a hook that parks the calling
 //!   thread until "something changed" replaces the internal condvar wait
 //!   entirely: the manager never sleeps on its own while a hook is
 //!   installed and the wait loop becomes deterministic.
 //! * **`at_granted`** — fired after an acquisition has actually been
-//!   granted (immediate, reentrant, conversion, or at the end of a wait).
+//!   granted (immediate, reentrant, conversion, or at the end of a wait);
+//!   like `at_acquire` and `at_release` it fires on the lock-word fast
+//!   path too, while `at_block` fires only on the slow path.
 //!   The happens-before race detector records its lock-acquire edge here:
 //!   `at_acquire` fires *before* the grant decision, which is too early —
 //!   the edge must join the clocks of releases that happened while the
@@ -50,7 +52,7 @@ pub trait WaitHook: Send + Sync {
     }
 
     /// The queued request (`owner`, `mode` on `id`) is not currently
-    /// grantable. Called with no lock-table mutex held; when this returns
+    /// grantable. Called with no manager-internal mutex held; when this returns
     /// the manager re-checks grantability. A scheduler should park the
     /// calling thread here until another thread has released a lock.
     fn at_block(&self, owner: OwnerId, id: LockId, mode: LockMode) {
@@ -59,7 +61,7 @@ pub trait WaitHook: Send + Sync {
 
     /// The acquisition of `mode` on `id` by `owner` has been granted
     /// (including reentrant nesting and successful `try_lock`s). Called
-    /// with no lock-table mutex held. Under a serializing hook (the
+    /// with no manager-internal mutex held. Under a serializing hook (the
     /// schedule explorer) every release that made the grant possible has
     /// already fired its [`WaitHook::at_release`] — the ordering the
     /// race detector's lock edges rely on.
@@ -74,7 +76,7 @@ pub trait WaitHook: Send + Sync {
     }
 
     /// An unlocked reader has just snapshotted, or is about to validate,
-    /// the ξ-epoch of `id`. Called with no lock-table mutex held; a
+    /// the ξ-epoch of `id`. Called with no manager-internal mutex held; a
     /// scheduler may suspend the caller here like at
     /// [`WaitHook::at_acquire`].
     fn at_optimistic(&self, id: LockId) {

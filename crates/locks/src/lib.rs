@@ -15,6 +15,18 @@
 //!
 //! [`LockManager`] implements:
 //!
+//! * **lock words**: every lockable object has one `u64` holding its ρ
+//!   count, α bit, ξ bit, a waiters bit and its ξ generation. An
+//!   uncontended grant or release is one atomic read-modify-write on
+//!   that word; page words sit in a lazily allocated, direct-indexed
+//!   table (page ids below [`LockManager::MAX_PAGES`]);
+//! * a **parking table** for requests that must wait: per-resource FIFO
+//!   queues in power-of-two mutex+condvar stripes. A queued request sets
+//!   its resource's waiters bit, which sends every newcomer to the queue
+//!   too;
+//! * an **owner ledger**: which owner holds what, sharded by owner, for
+//!   reentrancy, conversions, [`LockManager::release_all`],
+//!   [`LockManager::held`] and the deadlock detector;
 //! * **fair FIFO granting "subject to the compatibility relationship"**
 //!   (the fairness assumption of §2.3): a request is granted only when it
 //!   is compatible with every granted lock *and* every earlier waiter, so
@@ -30,11 +42,11 @@
 //! * **reentrancy**: the same owner may acquire the same (resource, mode)
 //!   multiple times; counts nest;
 //! * **ξ-epochs** ([`LockManager::xi_epoch`], [`LockManager::xi_validate`]):
-//!   one word for the directory and a striped table for pages, bumped
-//!   under the shard mutex at every ξ grant and final ξ release. ρ
-//!   conflicts only with ξ, so a reader that validates an unchanged,
-//!   quiescent epoch around an unlocked read saw what a ρ holder could
-//!   have seen — the find fast path of `ceh-core`;
+//!   the ξ bit and generation of each page's word (the directory's live
+//!   on a cache line of their own), bumped at every ξ grant and final ξ
+//!   release. ρ conflicts only with ξ, so a reader that validates an
+//!   unchanged, quiescent epoch around an unlocked read saw what a ρ
+//!   holder could have seen — the find fast path of `ceh-core`;
 //! * **statistics** ([`LockStats`]) — grants, waits, wait time by mode —
 //!   consumed by the benchmark harness;
 //! * **wait-point hooks** ([`WaitHook`]): the acquire/block/release seam
@@ -55,11 +67,14 @@
 
 mod guard;
 mod hook;
+mod ledger;
 mod manager;
 mod mode;
+mod parking;
 pub mod shadow;
 mod stats;
 mod version;
+mod word;
 
 pub use guard::LockGuard;
 pub use hook::WaitHook;

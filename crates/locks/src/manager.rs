@@ -1,16 +1,20 @@
-//! The lock manager.
+//! The lock manager: lock words on the fast path, parking queues on the
+//! slow path, and an owner ledger for everything that needs holders.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use crate::hook::WaitHook;
+use crate::ledger::{self, Holding, Ledger};
 use crate::mode::{compatible, LockId, LockMode};
+use crate::parking::{Parking, Queues, Waiter};
 use crate::shadow::{unscheduled, TrackedAtomicU64};
-use crate::stats::{LockStats, LockStatsSnapshot};
+use crate::stats::{lock_trace_target, LockStats, LockStatsSnapshot};
+use crate::word::{self, Modes, Words, WAITERS};
 
 /// Identifies a lock-holding process (one logical operation).
 ///
@@ -22,174 +26,46 @@ use crate::stats::{LockStats, LockStatsSnapshot};
 pub struct OwnerId(pub u64);
 
 /// Configuration for a [`LockManager`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct LockManagerConfig {
-    /// Number of lock-table shards (rounded up to a power of two).
-    pub shards: usize,
     /// If set, a waiter that has blocked for this long runs the deadlock
     /// detector and panics with the cycle if it is part of one. Armed by
     /// the stress tests; `None` (default) waits indefinitely.
     pub watchdog: Option<Duration>,
 }
 
-impl Default for LockManagerConfig {
-    fn default() -> Self {
-        LockManagerConfig {
-            shards: 16,
-            watchdog: None,
+/// Bits of an [`OwnerId`] that name the thread that minted it.
+const OWNER_THREAD_BITS: u32 = 24;
+
+/// Mint an owner id: the calling thread's index in the low bits and a
+/// per-thread sequence number above them (ids repeat only after 2²⁴
+/// threads or 2⁴⁰ operations of one thread). No shared counter is
+/// touched, and the ledger shard (the low bits) is the same for every
+/// operation a thread runs, so two threads share a ledger line only if
+/// their indices fall in the same shard.
+fn mint_owner() -> OwnerId {
+    use std::cell::Cell;
+    static THREADS: AtomicU64 = AtomicU64::new(0);
+    thread_local! {
+        /// The next id this thread hands out; 0 until first use.
+        static NEXT: Cell<u64> = const { Cell::new(0) };
+    }
+    NEXT.with(|next| {
+        let mut id = next.get();
+        if id == 0 {
+            // Sequence 1, so no id is 0.
+            let thread = THREADS.fetch_add(1, Ordering::Relaxed) & ((1 << OWNER_THREAD_BITS) - 1);
+            id = (1 << OWNER_THREAD_BITS) | thread;
         }
-    }
-}
-
-#[derive(Debug)]
-struct Grant {
-    owner: OwnerId,
-    mode: LockMode,
-    count: u32,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Waiter {
-    owner: OwnerId,
-    mode: LockMode,
-    ticket: u64,
-}
-
-#[derive(Debug, Default)]
-struct ResourceState {
-    granted: Vec<Grant>,
-    /// Conversion requests: owner already holds some lock on the resource.
-    /// Checked against granted locks (and earlier conversions) only —
-    /// never queued behind ordinary waiters. See crate docs.
-    conversions: Vec<Waiter>,
-    /// Ordinary waiters, FIFO by ticket.
-    queue: Vec<Waiter>,
-}
-
-impl ResourceState {
-    fn is_empty(&self) -> bool {
-        self.granted.is_empty() && self.conversions.is_empty() && self.queue.is_empty()
-    }
-
-    fn holds(&self, owner: OwnerId) -> bool {
-        self.granted.iter().any(|g| g.owner == owner)
-    }
-
-    /// May `(owner, mode)` — positioned either in the conversion list or
-    /// the ordinary queue with ticket `ticket` — be granted now?
-    fn grantable(&self, owner: OwnerId, mode: LockMode, is_conversion: bool, ticket: u64) -> bool {
-        // Compatible with every lock granted to a different owner. Own
-        // grants are ignored: Figure 8's inserter holds ρ and α on the
-        // directory simultaneously.
-        if self
-            .granted
-            .iter()
-            .any(|g| g.owner != owner && !compatible(mode, g.mode))
-        {
-            return false;
-        }
-        // FIFO among conversions.
-        if self
-            .conversions
-            .iter()
-            .any(|c| c.ticket < ticket && c.owner != owner && !compatible(mode, c.mode))
-        {
-            return false;
-        }
-        if is_conversion {
-            // Conversions never queue behind ordinary waiters (deadlock
-            // avoidance — the waiter may be a ξ blocked by the very lock
-            // this owner already holds).
-            return true;
-        }
-        // Ordinary requests also respect all pending conversions and all
-        // earlier ordinary waiters: FIFO "subject to the compatibility
-        // relationship" (§2.3). Without this, readers would starve a
-        // waiting ξ forever.
-        if self
-            .conversions
-            .iter()
-            .any(|c| c.owner != owner && !compatible(mode, c.mode))
-        {
-            return false;
-        }
-        !self
-            .queue
-            .iter()
-            .any(|w| w.ticket < ticket && w.owner != owner && !compatible(mode, w.mode))
-    }
-}
-
-struct Shard {
-    state: Mutex<HashMap<LockId, ResourceState>>,
-    cv: Condvar,
-}
-
-/// Bits of a ξ-epoch word that count the active ξ holders; the bits
-/// above them are a generation counter.
-const XI_ACTIVE_BITS: u32 = 16;
-const XI_ACTIVE_MASK: u64 = (1 << XI_ACTIVE_BITS) - 1;
-/// One generation step.
-const XI_GEN: u64 = 1 << XI_ACTIVE_BITS;
-/// Page epoch stripes (a power of two). Page ids are dense, so the low
-/// bits of the id spread them evenly.
-const XI_PAGE_STRIPES: usize = 1024;
-
-/// The directory's epoch word, on a cache line of its own: every find
-/// loads it, and the lock table's hot counters must not share its line.
-#[repr(align(64))]
-struct PaddedEpoch(TrackedAtomicU64);
-
-/// ξ-epoch words: one for the directory and a striped table for pages.
-///
-/// Each word is bumped under the shard mutex when a ξ is granted
-/// (active count +1, generation +1) and when a ξ grant leaves the table
-/// (active count −1, generation +1). An unlocked reader that snapshots
-/// a quiescent word before reading and finds it unchanged afterwards
-/// knows no ξ holder ran on that resource in between — and ξ is the
-/// only mode a ρ holder would have excluded. Pages sharing a stripe can
-/// report conflicts they did not have, never miss one.
-struct XiEpochs {
-    dir: PaddedEpoch,
-    pages: Box<[TrackedAtomicU64]>,
-}
-
-impl XiEpochs {
-    fn new() -> Self {
-        XiEpochs {
-            dir: PaddedEpoch(TrackedAtomicU64::new(0, "locks.xi_epoch.dir")),
-            pages: (0..XI_PAGE_STRIPES)
-                .map(|_| TrackedAtomicU64::new(0, "locks.xi_epoch.page"))
-                .collect(),
-        }
-    }
-
-    #[inline]
-    fn word(&self, id: LockId) -> &TrackedAtomicU64 {
-        match id {
-            LockId::Directory => &self.dir.0,
-            LockId::Page(p) => &self.pages[(p.0 as usize) & (XI_PAGE_STRIPES - 1)],
-        }
-    }
-
-    /// A ξ on `id` was granted. Called with the shard mutex held, so
-    /// the bump is no schedule point for the race detector.
-    fn begin(&self, id: LockId) {
-        let prev = unscheduled(|| self.word(id).fetch_add(XI_GEN + 1, Ordering::AcqRel));
-        debug_assert!(
-            prev & XI_ACTIVE_MASK < XI_ACTIVE_MASK,
-            "ξ-epoch count overflow"
-        );
-    }
-
-    /// A ξ grant on `id` left the table. Called with the shard mutex held.
-    fn end(&self, id: LockId) {
-        let prev = unscheduled(|| self.word(id).fetch_add(XI_GEN - 1, Ordering::AcqRel));
-        debug_assert!(prev & XI_ACTIVE_MASK > 0, "ξ-epoch ended twice");
-    }
+        next.set(id.wrapping_add(1 << OWNER_THREAD_BITS));
+        OwnerId(id)
+    })
 }
 
 /// The three-mode lock manager. See the crate docs for semantics.
+///
+/// Page ids must be below [`LockManager::MAX_PAGES`]; locking a page
+/// beyond it panics.
 ///
 /// ```
 /// use ceh_locks::{LockId, LockManager, LockMode};
@@ -210,22 +86,20 @@ impl XiEpochs {
 /// mgr.unlock(deleter, LockId::Directory, LockMode::Xi);
 /// ```
 pub struct LockManager {
-    shards: Box<[Shard]>,
-    shard_mask: usize,
-    next_owner: AtomicU64,
+    words: Words,
+    ledger: Ledger,
+    parking: Parking,
     next_ticket: AtomicU64,
     watchdog: Option<Duration>,
     stats: LockStats,
     /// Fast-path flag for `wait_hook` (one relaxed load when unset).
     hooked: AtomicBool,
     wait_hook: Mutex<Option<Arc<dyn WaitHook>>>,
-    xi: XiEpochs,
 }
 
 impl std::fmt::Debug for LockManager {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LockManager")
-            .field("shards", &self.shards.len())
             .field("stats", &self.stats.snapshot())
             .finish()
     }
@@ -238,6 +112,9 @@ impl Default for LockManager {
 }
 
 impl LockManager {
+    /// Page ids a manager can lock: `0..MAX_PAGES`.
+    pub const MAX_PAGES: u64 = word::MAX_PAGES;
+
     /// Create a manager with a private metrics registry.
     pub fn new(cfg: LockManagerConfig) -> Self {
         Self::with_metrics(cfg, &ceh_obs::MetricsHandle::default())
@@ -247,24 +124,15 @@ impl LockManager {
     /// (under the `locks.` prefix), correlated with every other layer
     /// wired to the same handle.
     pub fn with_metrics(cfg: LockManagerConfig, metrics: &ceh_obs::MetricsHandle) -> Self {
-        let n = cfg.shards.max(1).next_power_of_two();
-        let shards = (0..n)
-            .map(|_| Shard {
-                state: Mutex::new(HashMap::new()),
-                cv: Condvar::new(),
-            })
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
         LockManager {
-            shards,
-            shard_mask: n - 1,
-            next_owner: AtomicU64::new(1),
+            words: Words::new(),
+            ledger: Ledger::new(),
+            parking: Parking::new(),
             next_ticket: AtomicU64::new(1),
             watchdog: cfg.watchdog,
             stats: LockStats::with_handle(metrics),
             hooked: AtomicBool::new(false),
             wait_hook: Mutex::new(None),
-            xi: XiEpochs::new(),
         }
     }
 
@@ -291,9 +159,11 @@ impl LockManager {
         self.wait_hook.lock().clone()
     }
 
-    /// Allocate a fresh owner token for one logical operation.
+    /// Allocate a fresh owner token for one logical operation. Tokens
+    /// are minted per thread and are unique across the process's
+    /// managers.
     pub fn new_owner(&self) -> OwnerId {
-        OwnerId(self.next_owner.fetch_add(1, Ordering::Relaxed))
+        mint_owner()
     }
 
     /// Lock statistics so far.
@@ -307,26 +177,25 @@ impl LockManager {
     }
 
     /// Snapshot the ξ-epoch of `id` for an unlocked read: `None` while
-    /// some owner holds ξ on it (or on a page sharing its stripe), else
-    /// a word to hand to [`LockManager::xi_validate`] after the read.
+    /// some owner holds ξ on it, else a value to hand to
+    /// [`LockManager::xi_validate`] after the read.
     ///
     /// A read bracketed by a successful snapshot and validation saw no
-    /// ξ holder on `id` — the state a ρ holder would have seen. Fires
-    /// [`WaitHook::at_optimistic`] after the load, so a scheduler can run
-    /// a writer between the snapshot and the read it guards.
+    /// ξ holder on `id` — the state a ρ holder would have seen. ρ and α
+    /// grants never move the epoch. Fires [`WaitHook::at_optimistic`]
+    /// after the load, so a scheduler can run a writer between the
+    /// snapshot and the read it guards.
     #[track_caller]
     #[inline]
     pub fn xi_epoch(&self, id: LockId) -> Option<u64> {
-        // Acquire: pairs with the AcqRel bump at ξ release, so the reads
-        // that follow see everything the last ξ holder wrote.
-        let v = self.xi.word(id).load(Ordering::Acquire);
+        let v = self.words.epoch(id);
         if let Some(h) = self.hook() {
             h.at_optimistic(id);
         }
-        (v & XI_ACTIVE_MASK == 0).then_some(v)
+        (v & word::XI == 0).then_some(v)
     }
 
-    /// True iff no ξ on `id` (or its stripe) has been granted since
+    /// True iff no ξ on `id` has been granted since
     /// [`LockManager::xi_epoch`] returned `v`. Fires
     /// [`WaitHook::at_optimistic`] before the load, so a scheduler can run
     /// a writer between the read and its validation.
@@ -339,28 +208,95 @@ impl LockManager {
         }
         // The reads being validated were atomic loads or page reads under
         // the page latch; a ξ holder's write seen by them was preceded by
-        // its begin bump, which this load therefore sees (coherence).
-        self.xi.word(id).load(Ordering::Acquire) == v
+        // its generation bump, which this load therefore sees (coherence).
+        self.words.epoch(id) == v
     }
 
-    /// Record a new grant in `rs`, opening the ξ-epoch of `id` if the
-    /// grant is a ξ. Called with the shard mutex held.
-    fn push_grant(&self, rs: &mut ResourceState, id: LockId, owner: OwnerId, mode: LockMode) {
-        rs.granted.push(Grant {
+    /// CAS `mode` into `id`'s word if it is compatible with the other
+    /// owners' grants, clearing the waiters bit if `last_waiter`. With
+    /// `fast`, a set waiters bit refuses instead (newcomers queue behind
+    /// waiters). Returns whether the grant was made.
+    fn cas_grant(
+        &self,
+        word: &TrackedAtomicU64,
+        id: LockId,
+        mode: LockMode,
+        own: Modes,
+        fast: bool,
+        last_waiter: bool,
+    ) -> bool {
+        // Made with a ledger or stripe mutex held: never a schedule point.
+        unscheduled(|| {
+            let mut cur = word.load(Ordering::Acquire);
+            loop {
+                if (fast && cur & WAITERS != 0) || !word::compatible_with(cur, mode, own) {
+                    return false;
+                }
+                let mut new = word::with_grant(cur, mode, id);
+                if last_waiter {
+                    new &= !WAITERS;
+                }
+                // Acquire: pairs with the Release of every earlier
+                // holder's release, so this holder sees their writes.
+                match word.compare_exchange(cur, new, Ordering::Acquire, Ordering::Acquire) {
+                    Ok(_) => return true,
+                    Err(v) => cur = v,
+                }
+            }
+        })
+    }
+
+    /// Enter a fresh grant in the owner's ledger shard, opening the
+    /// directory's ξ-epoch for a directory ξ.
+    fn enter(&self, shard: &mut Vec<Holding>, owner: OwnerId, id: LockId, mode: LockMode) {
+        shard.push(Holding {
             owner,
+            id,
             mode,
             count: 1,
         });
-        if mode == LockMode::Xi {
-            self.xi.begin(id);
+        if mode == LockMode::Xi && id == LockId::Directory {
+            unscheduled(|| self.words.dir_xi_begin());
         }
     }
 
-    fn shard(&self, id: LockId) -> &Shard {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        id.hash(&mut h);
-        &self.shards[(h.finish() as usize) & self.shard_mask]
+    /// The fast path: nest a reentrant request, or grant with one CAS on
+    /// the word when no one is queued and the word is compatible.
+    /// `Ok(conversion)` if granted, else `Err` with the owner's modes
+    /// on `id` for the slow path.
+    #[inline]
+    fn acquire_fast(&self, owner: OwnerId, id: LockId, mode: LockMode) -> Result<bool, Modes> {
+        let word = self.words.word(id);
+        let mut shard = self.ledger.shard(owner);
+        let own = ledger::own(&shard, owner, id, mode);
+        if let Some(i) = own.same {
+            shard[i].count += 1;
+            return Ok(false);
+        }
+        if !self.cas_grant(word, id, mode, own.modes, true, false) {
+            return Err(own.modes);
+        }
+        self.enter(&mut shard, owner, id, mode);
+        Ok(!own.modes.is_empty())
+    }
+
+    /// Bookkeeping for a grant made without waiting.
+    fn granted(
+        &self,
+        owner: OwnerId,
+        id: LockId,
+        mode: LockMode,
+        conversion: bool,
+        hook: Option<&dyn WaitHook>,
+    ) {
+        let target = lock_trace_target(id);
+        self.stats.record_grant(mode, false, target);
+        if conversion {
+            self.stats.record_conversion(target);
+        }
+        if let Some(h) = hook {
+            h.at_granted(owner, id, mode);
+        }
     }
 
     /// Acquire `mode` on `id` for `owner`, blocking until granted.
@@ -373,149 +309,130 @@ impl LockManager {
         if let Some(h) = &hook {
             h.at_acquire(owner, id, mode);
         }
-        let target = crate::stats::lock_trace_target(id);
-        let shard = self.shard(id);
-        let mut state = shard.state.lock();
-        let rs = state.entry(id).or_default();
-
-        // Reentrant same-mode acquisition.
-        if let Some(g) = rs
-            .granted
-            .iter_mut()
-            .find(|g| g.owner == owner && g.mode == mode)
-        {
-            g.count += 1;
-            self.stats.record_grant(mode, false, target);
-            drop(state);
-            if let Some(h) = &hook {
-                h.at_granted(owner, id, mode);
-            }
-            return;
+        match self.acquire_fast(owner, id, mode) {
+            Ok(conversion) => self.granted(owner, id, mode, conversion, hook.as_deref()),
+            Err(own) => self.lock_slow(owner, id, mode, own, hook),
         }
+    }
 
-        let is_conversion = rs.holds(owner);
+    /// The slow path: queue on `id`'s parking stripe, set the waiters
+    /// bit, and re-check after every wake-up until granted.
+    fn lock_slow(
+        &self,
+        owner: OwnerId,
+        id: LockId,
+        mode: LockMode,
+        own: Modes,
+        hook: Option<Arc<dyn WaitHook>>,
+    ) {
+        let target = lock_trace_target(id);
+        let is_conversion = !own.is_empty();
         let ticket = self.next_ticket.fetch_add(1, Ordering::Relaxed);
-
-        if rs.grantable(owner, mode, is_conversion, ticket) {
-            self.push_grant(rs, id, owner, mode);
-            self.stats.record_grant(mode, false, target);
-            if is_conversion {
-                self.stats.record_conversion(target);
-            }
-            drop(state);
-            if let Some(h) = &hook {
-                h.at_granted(owner, id, mode);
-            }
-            return;
-        }
-
-        // Must wait.
-        let waiter = Waiter {
-            owner,
-            mode,
-            ticket,
-        };
-        if is_conversion {
-            rs.conversions.push(waiter);
-        } else {
-            rs.queue.push(waiter);
-        }
-        let wait_span = self.stats.record_wait_start(mode, target);
-        let wait_started = Instant::now();
-        // Hook-driven waiting: the scheduler decides when to re-check, the
-        // condvar is never used (the releaser's notify is harmless).
-        if let Some(h) = hook {
-            loop {
-                drop(state);
-                h.at_block(owner, id, mode);
-                state = shard.state.lock();
-                let rs = state.get_mut(&id).expect("resource with waiter vanished");
-                if rs.grantable(owner, mode, is_conversion, ticket) {
-                    self.promote(rs, id, owner, mode, is_conversion, ticket);
-                    self.stats
-                        .record_wait_end(wait_span, mode, target, wait_started.elapsed());
-                    if is_conversion {
-                        self.stats.record_conversion(target);
-                    }
-                    drop(state);
-                    h.at_granted(owner, id, mode);
-                    return;
-                }
-            }
-        }
+        let word = self.words.word(id);
+        let stripe = self.parking.stripe(id);
+        let mut queues = stripe.queues.lock();
+        queues.push(
+            id,
+            Waiter {
+                owner,
+                mode,
+                ticket,
+            },
+            is_conversion,
+        );
+        // From here until the queue empties, fast-path newcomers divert
+        // to this stripe. A release made before this RMW is seen by the
+        // check below; one made after it sees the bit and notifies.
+        unscheduled(|| word.fetch_or(WAITERS, Ordering::AcqRel));
+        let mut wait: Option<(ceh_obs::TraceCtx, Instant)> = None;
+        let mut timed_out = false;
         loop {
-            match self.watchdog {
-                Some(d) => {
-                    let timed_out = shard.cv.wait_for(&mut state, d).timed_out();
-                    if timed_out {
-                        // Re-check before running the detector: we may have
-                        // become grantable while timing out.
-                        let rs = state.get_mut(&id).expect("resource with waiter vanished");
-                        if rs.grantable(owner, mode, is_conversion, ticket) {
-                            self.promote(rs, id, owner, mode, is_conversion, ticket);
-                            self.stats.record_wait_end(
-                                wait_span,
-                                mode,
-                                target,
-                                wait_started.elapsed(),
-                            );
-                            drop(state);
-                            if let Some(h) = self.hook() {
-                                h.at_granted(owner, id, mode);
-                            }
-                            return;
-                        }
-                        drop(state);
-                        if let Some(cycle) = self.detect_deadlock() {
-                            panic!(
-                                "deadlock detected while {owner:?} waits for {mode} on {id}: \
-                                 cycle {cycle:?}\n{}",
-                                self.dump()
-                            );
-                        }
-                        state = shard.state.lock();
-                        continue;
+            if self.grant_queued(
+                &mut queues,
+                word,
+                owner,
+                id,
+                mode,
+                own,
+                is_conversion,
+                ticket,
+            ) {
+                drop(queues);
+                match wait {
+                    Some((span, started)) => {
+                        self.stats
+                            .record_wait_end(span, mode, target, started.elapsed())
                     }
+                    None => self.stats.record_grant(mode, false, target),
                 }
-                None => shard.cv.wait(&mut state),
-            }
-            let rs = state.get_mut(&id).expect("resource with waiter vanished");
-            if rs.grantable(owner, mode, is_conversion, ticket) {
-                self.promote(rs, id, owner, mode, is_conversion, ticket);
-                self.stats
-                    .record_wait_end(wait_span, mode, target, wait_started.elapsed());
                 if is_conversion {
                     self.stats.record_conversion(target);
                 }
-                drop(state);
-                if let Some(h) = self.hook() {
+                if let Some(h) = &hook {
                     h.at_granted(owner, id, mode);
                 }
                 return;
             }
+            if timed_out {
+                drop(queues);
+                // The panicking waiter stays queued: the other waiters on
+                // its cycle must still find it and panic too.
+                if let Some(cycle) = self.detect_deadlock() {
+                    panic!(
+                        "deadlock detected while {owner:?} waits for {mode} on {id}: \
+                         cycle {cycle:?}\n{}",
+                        self.dump()
+                    );
+                }
+                queues = stripe.queues.lock();
+                timed_out = false;
+                continue;
+            }
+            if wait.is_none() {
+                wait = Some((self.stats.record_wait_start(mode, target), Instant::now()));
+            }
+            match (&hook, self.watchdog) {
+                // Hook-driven waiting: the scheduler decides when to
+                // re-check; the condvar is never used (the releaser's
+                // notify is harmless).
+                (Some(h), _) => {
+                    drop(queues);
+                    h.at_block(owner, id, mode);
+                    queues = stripe.queues.lock();
+                }
+                (None, Some(d)) => timed_out = stripe.cv.wait_for(&mut queues, d).timed_out(),
+                (None, None) => stripe.cv.wait(&mut queues),
+            }
         }
     }
 
-    fn promote(
+    /// Grant the queued request with `ticket` if the queue's FIFO and
+    /// conversion rules admit it and the word is compatible; on success
+    /// it leaves the queue (clearing the waiters bit if it was the last)
+    /// and enters the ledger. Called with `id`'s stripe mutex held.
+    #[allow(clippy::too_many_arguments)]
+    fn grant_queued(
         &self,
-        rs: &mut ResourceState,
-        id: LockId,
+        queues: &mut Queues,
+        word: &TrackedAtomicU64,
         owner: OwnerId,
+        id: LockId,
         mode: LockMode,
+        own: Modes,
         is_conversion: bool,
         ticket: u64,
-    ) {
-        let list = if is_conversion {
-            &mut rs.conversions
-        } else {
-            &mut rs.queue
-        };
-        let pos = list
-            .iter()
-            .position(|w| w.ticket == ticket)
-            .expect("waiter not in its queue");
-        list.remove(pos);
-        self.push_grant(rs, id, owner, mode);
+    ) -> bool {
+        let q = queues.get(id).expect("a queued request has a queue");
+        if !q.admits(owner, mode, is_conversion, ticket) {
+            return false;
+        }
+        let last = q.conversions.len() + q.waiting.len() == 1;
+        if !self.cas_grant(word, id, mode, own, false, last) {
+            return false;
+        }
+        queues.remove(id, ticket);
+        self.enter(&mut self.ledger.shard(owner), owner, id, mode);
+        true
     }
 
     /// Try to acquire without blocking. Returns whether the lock was
@@ -526,39 +443,26 @@ impl LockManager {
         if let Some(h) = &hook {
             h.at_acquire(owner, id, mode);
         }
-        let target = crate::stats::lock_trace_target(id);
-        let shard = self.shard(id);
-        let mut state = shard.state.lock();
-        let rs = state.entry(id).or_default();
-        if let Some(g) = rs
-            .granted
-            .iter_mut()
-            .find(|g| g.owner == owner && g.mode == mode)
-        {
-            g.count += 1;
-            self.stats.record_grant(mode, false, target);
-            drop(state);
-            if let Some(h) = &hook {
-                h.at_granted(owner, id, mode);
+        let conversion = match self.acquire_fast(owner, id, mode) {
+            Ok(conversion) => conversion,
+            Err(own) => {
+                // Queued requests (or a release racing the fast path):
+                // decide as a newcomer behind every queued request.
+                let is_conversion = !own.is_empty();
+                let queues = self.parking.stripe(id).queues.lock();
+                let admitted = queues
+                    .get(id)
+                    .map_or(true, |q| q.admits(owner, mode, is_conversion, u64::MAX));
+                if !admitted || !self.cas_grant(self.words.word(id), id, mode, own, false, false) {
+                    return false;
+                }
+                self.enter(&mut self.ledger.shard(owner), owner, id, mode);
+                drop(queues);
+                is_conversion
             }
-            return true;
-        }
-        let is_conversion = rs.holds(owner);
-        let ticket = self.next_ticket.fetch_add(1, Ordering::Relaxed);
-        if rs.grantable(owner, mode, is_conversion, ticket) {
-            self.push_grant(rs, id, owner, mode);
-            self.stats.record_grant(mode, false, target);
-            drop(state);
-            if let Some(h) = &hook {
-                h.at_granted(owner, id, mode);
-            }
-            true
-        } else {
-            if rs.is_empty() {
-                state.remove(&id);
-            }
-            false
-        }
+        };
+        self.granted(owner, id, mode, conversion, hook.as_deref());
+        true
     }
 
     /// Release one acquisition of `mode` on `id` by `owner`.
@@ -566,32 +470,26 @@ impl LockManager {
     /// Panics if the owner does not hold such a lock — in this codebase
     /// that is always a protocol-transcription bug worth failing loudly on.
     pub fn unlock(&self, owner: OwnerId, id: LockId, mode: LockMode) {
-        let shard = self.shard(id);
-        let mut state = shard.state.lock();
-        let rs = state
-            .get_mut(&id)
-            .unwrap_or_else(|| panic!("{owner:?} unlocking {mode} on {id}: resource not locked"));
-        let pos = rs
-            .granted
+        let mut shard = self.ledger.shard(owner);
+        let Some(i) = shard
             .iter()
-            .position(|g| g.owner == owner && g.mode == mode)
-            .unwrap_or_else(|| panic!("{owner:?} unlocking {mode} on {id}: not held"));
-        rs.granted[pos].count -= 1;
-        if rs.granted[pos].count == 0 {
-            rs.granted.remove(pos);
-            if mode == LockMode::Xi {
-                self.xi.end(id);
-            }
+            .position(|h| h.owner == owner && h.id == id && h.mode == mode)
+        else {
+            drop(shard);
+            panic!("{owner:?} unlocking {mode} on {id}: not held");
+        };
+        shard[i].count -= 1;
+        let before = if shard[i].count == 0 {
+            shard.remove(i);
+            unscheduled(|| self.words.release(id, mode))
+        } else {
+            0
+        };
+        drop(shard);
+        if before & WAITERS != 0 {
+            self.parking.notify(id);
         }
         self.stats.record_release(mode);
-        let has_waiters = !rs.conversions.is_empty() || !rs.queue.is_empty();
-        if rs.is_empty() {
-            state.remove(&id);
-        }
-        drop(state);
-        if has_waiters {
-            shard.cv.notify_all();
-        }
         if let Some(h) = self.hook() {
             h.at_release(owner, id, mode);
         }
@@ -600,59 +498,37 @@ impl LockManager {
     /// Release *all* locks held by `owner` (panic-recovery in tests and
     /// guard teardown).
     pub fn release_all(&self, owner: OwnerId) {
-        for shard in self.shards.iter() {
-            let mut state = shard.state.lock();
-            let mut touched = false;
-            state.retain(|&id, rs| {
-                let before = rs.granted.len();
-                rs.granted.retain(|g| {
-                    if g.owner != owner {
-                        return true;
-                    }
-                    if g.mode == LockMode::Xi {
-                        self.xi.end(id);
-                    }
-                    false
-                });
-                touched |= rs.granted.len() != before;
-                !rs.is_empty()
-            });
-            drop(state);
-            if touched {
-                shard.cv.notify_all();
+        let mut woken = Vec::new();
+        let mut shard = self.ledger.shard(owner);
+        shard.retain(|h| {
+            if h.owner != owner {
+                return true;
             }
+            if unscheduled(|| self.words.release(h.id, h.mode)) & WAITERS != 0 {
+                woken.push(h.id);
+            }
+            false
+        });
+        drop(shard);
+        for id in woken {
+            self.parking.notify(id);
         }
     }
 
     /// The modes `owner` currently holds on `id` (diagnostic).
     pub fn held(&self, owner: OwnerId, id: LockId) -> Vec<LockMode> {
-        let shard = self.shard(id);
-        let state = shard.state.lock();
-        state
-            .get(&id)
-            .map(|rs| {
-                rs.granted
-                    .iter()
-                    .filter(|g| g.owner == owner)
-                    .map(|g| g.mode)
-                    .collect()
-            })
-            .unwrap_or_default()
+        self.ledger
+            .shard(owner)
+            .iter()
+            .filter(|h| h.owner == owner && h.id == id)
+            .map(|h| h.mode)
+            .collect()
     }
 
     /// Total number of locks currently granted (diagnostic; quiescent
     /// tests assert this returns 0).
     pub fn total_granted(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.state
-                    .lock()
-                    .values()
-                    .map(|rs| rs.granted.len())
-                    .sum::<usize>()
-            })
-            .sum()
+        self.ledger.lock_all().iter().map(|s| s.len()).sum()
     }
 
     /// Build the waits-for graph and look for a cycle. Returns the owners
@@ -663,51 +539,48 @@ impl LockManager {
     /// earlier incompatible waiter on the same resource (conversions wait
     /// only on grants and earlier conversions).
     pub fn detect_deadlock(&self) -> Option<Vec<OwnerId>> {
-        // Snapshot all shards. Shard mutexes are leaves (no lock calls
-        // nest inside them), so taking them in order cannot deadlock with
-        // anything.
+        // A consistent snapshot: every stripe, then every ledger shard,
+        // in index order — the order the slow path nests them in.
+        let stripes = self.parking.lock_all();
+        let ledgers = self.ledger.lock_all();
         let mut edges: HashMap<OwnerId, Vec<OwnerId>> = HashMap::new();
-        for shard in self.shards.iter() {
-            let state = shard.state.lock();
-            for rs in state.values() {
-                let mut consider = |w: &Waiter, include_queue_fifo: bool| {
-                    let out = edges.entry(w.owner).or_default();
-                    for g in &rs.granted {
-                        if g.owner != w.owner && !compatible(w.mode, g.mode) {
-                            out.push(g.owner);
+        for q in stripes.iter().flat_map(|s| s.iter()) {
+            let mut consider = |w: &Waiter, include_queue_fifo: bool| {
+                let out = edges.entry(w.owner).or_default();
+                for h in ledgers.iter().flat_map(|s| s.iter()) {
+                    if h.id == q.id && h.owner != w.owner && !compatible(w.mode, h.mode) {
+                        out.push(h.owner);
+                    }
+                }
+                for c in &q.conversions {
+                    if c.ticket < w.ticket && c.owner != w.owner && !compatible(w.mode, c.mode) {
+                        out.push(c.owner);
+                    }
+                }
+                if include_queue_fifo {
+                    for o in &q.waiting {
+                        if o.ticket < w.ticket && o.owner != w.owner && !compatible(w.mode, o.mode)
+                        {
+                            out.push(o.owner);
                         }
                     }
-                    for c in &rs.conversions {
-                        if c.ticket < w.ticket && c.owner != w.owner && !compatible(w.mode, c.mode)
-                        {
+                    // Ordinary waiters also wait on all conversions.
+                    for c in &q.conversions {
+                        if c.owner != w.owner && !compatible(w.mode, c.mode) {
                             out.push(c.owner);
                         }
                     }
-                    if include_queue_fifo {
-                        for q in &rs.queue {
-                            if q.ticket < w.ticket
-                                && q.owner != w.owner
-                                && !compatible(w.mode, q.mode)
-                            {
-                                out.push(q.owner);
-                            }
-                        }
-                        // Ordinary waiters also wait on all conversions.
-                        for c in &rs.conversions {
-                            if c.owner != w.owner && !compatible(w.mode, c.mode) {
-                                out.push(c.owner);
-                            }
-                        }
-                    }
-                };
-                for c in &rs.conversions {
-                    consider(c, false);
                 }
-                for w in &rs.queue {
-                    consider(w, true);
-                }
+            };
+            for c in &q.conversions {
+                consider(c, false);
+            }
+            for w in &q.waiting {
+                consider(w, true);
             }
         }
+        drop(ledgers);
+        drop(stripes);
         // DFS cycle detection.
         #[derive(Clone, Copy, PartialEq)]
         enum Color {
@@ -758,26 +631,35 @@ impl LockManager {
         None
     }
 
-    /// Human-readable dump of the lock table (diagnostics on watchdog
-    /// panic).
+    /// Human-readable dump of the grants and queues (diagnostics on
+    /// watchdog panic).
     pub fn dump(&self) -> String {
         use std::fmt::Write as _;
+        let stripes = self.parking.lock_all();
+        let ledgers = self.ledger.lock_all();
+        let holdings = || ledgers.iter().flat_map(|s| s.iter());
+        let queues = || stripes.iter().flat_map(|s| s.iter());
+        let mut ids: Vec<LockId> = Vec::new();
+        for id in holdings().map(|h| h.id).chain(queues().map(|q| q.id)) {
+            if !ids.contains(&id) {
+                ids.push(id);
+            }
+        }
         let mut out = String::new();
-        for shard in self.shards.iter() {
-            let state = shard.state.lock();
-            for (id, rs) in state.iter() {
-                let _ = writeln!(out, "{id}:");
-                for g in &rs.granted {
-                    let _ = writeln!(out, "  granted {} to {:?} x{}", g.mode, g.owner, g.count);
-                }
-                for c in &rs.conversions {
+        for id in ids {
+            let _ = writeln!(out, "{id}:");
+            for h in holdings().filter(|h| h.id == id) {
+                let _ = writeln!(out, "  granted {} to {:?} x{}", h.mode, h.owner, h.count);
+            }
+            for q in queues().filter(|q| q.id == id) {
+                for c in &q.conversions {
                     let _ = writeln!(
                         out,
                         "  converting {} for {:?} (t{})",
                         c.mode, c.owner, c.ticket
                     );
                 }
-                for w in &rs.queue {
+                for w in &q.waiting {
                     let _ = writeln!(
                         out,
                         "  waiting {} for {:?} (t{})",
@@ -1006,10 +888,7 @@ mod tests {
     fn detects_abba_deadlock() {
         // Manufactured AB-BA deadlock between two ξ owners (our protocols
         // never do this; the detector exists to prove they don't).
-        let m = Arc::new(LockManager::new(LockManagerConfig {
-            watchdog: None,
-            ..Default::default()
-        }));
+        let m = Arc::new(LockManager::new(LockManagerConfig { watchdog: None }));
         let ra = LockId::Page(PageId(1));
         let rb = LockId::Page(PageId(2));
         let a = m.new_owner();
@@ -1083,7 +962,6 @@ mod tests {
     fn watchdog_panics_on_manufactured_deadlock() {
         let m = Arc::new(LockManager::new(LockManagerConfig {
             watchdog: Some(Duration::from_millis(50)),
-            ..Default::default()
         }));
         let ra = LockId::Page(PageId(1));
         let rb = LockId::Page(PageId(2));

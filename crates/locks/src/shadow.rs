@@ -175,8 +175,8 @@ thread_local! {
 /// Run `f`, whose shadowed accesses are still observed (their
 /// happens-before edges count) but are never schedule points. For
 /// accesses made while holding an internal mutex — the lock manager's
-/// ξ-epoch bumps — where parking the thread would deadlock the
-/// serialized run.
+/// lock-word updates, made under a ledger or parking-stripe mutex —
+/// where parking the thread would deadlock the serialized run.
 #[inline]
 pub fn unscheduled<R>(f: impl FnOnce() -> R) -> R {
     #[cfg(feature = "check-race")]
@@ -436,6 +436,50 @@ macro_rules! tracked_atomic {
                 );
                 self.v.fetch_sub(v, order)
             }
+
+            /// Atomic bitwise or; acquire/release edges per `order`.
+            #[track_caller]
+            #[inline]
+            pub fn fetch_or(&self, v: $int, order: Ordering) -> $int {
+                #[cfg(feature = "check-race")]
+                emit(
+                    self.loc(),
+                    self.label,
+                    AccessKind::AtomicRmw,
+                    order,
+                    false,
+                    std::panic::Location::caller(),
+                );
+                self.v.fetch_or(v, order)
+            }
+
+            /// Strong compare-and-exchange. Modeled as a load with
+            /// `failure`'s edges (the comparison, made whether or not it
+            /// succeeds), followed on success by a read-modify-write with
+            /// `success`'s edges — so a failed exchange publishes nothing.
+            #[track_caller]
+            #[inline]
+            pub fn compare_exchange(
+                &self,
+                current: $int,
+                new: $int,
+                success: Ordering,
+                failure: Ordering,
+            ) -> Result<$int, $int> {
+                #[cfg(feature = "check-race")]
+                let site = std::panic::Location::caller();
+                #[cfg(feature = "check-race")]
+                emit(self.loc(), self.label, AccessKind::AtomicLoad, failure, false, site);
+                let r = self.v.compare_exchange(current, new, success, failure);
+                // The exchange has already happened: not a schedule point.
+                #[cfg(feature = "check-race")]
+                if r.is_ok() {
+                    unscheduled(|| {
+                        emit(self.loc(), self.label, AccessKind::AtomicRmw, success, false, site)
+                    });
+                }
+                r
+            }
         }
 
         impl std::fmt::Debug for $name {
@@ -634,6 +678,20 @@ mod tests {
         let b = TrackedAtomicUsize::new(0, "test.usize");
         b.fetch_add(1, Ordering::Relaxed);
         assert_eq!(b.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn tracked_rmws_mirror_std() {
+        let a = TrackedAtomicU64::new(4, "test.u64");
+        assert_eq!(a.fetch_or(8, Ordering::AcqRel), 4);
+        assert_eq!(
+            a.compare_exchange(12, 1, Ordering::AcqRel, Ordering::Acquire),
+            Ok(12)
+        );
+        assert_eq!(
+            a.compare_exchange(12, 2, Ordering::AcqRel, Ordering::Acquire),
+            Err(1)
+        );
     }
 
     #[test]

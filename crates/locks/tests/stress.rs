@@ -50,7 +50,6 @@ impl HeldTracker {
 fn random_schedules_never_violate_compatibility() {
     let mgr = Arc::new(LockManager::new(LockManagerConfig {
         watchdog: Some(Duration::from_secs(10)),
-        ..Default::default()
     }));
     let tracker = Arc::new(HeldTracker::default());
     const THREADS: u64 = 8;
@@ -115,7 +114,6 @@ fn conversion_storm_makes_progress() {
     // whenever a ξ waiter wedges between ρ and α.
     let mgr = Arc::new(LockManager::new(LockManagerConfig {
         watchdog: Some(Duration::from_secs(10)),
-        ..Default::default()
     }));
     let dir = LockId::Directory;
 

@@ -187,30 +187,31 @@ fn rho_and_alpha_never_move_the_word() {
     assert!(m.xi_validate(P, v_page));
 }
 
+/// Every page has its own word: a ξ on one page neither hides nor
+/// invents a ξ on another, however their ids relate.
 #[test]
-fn two_xi_holders_in_one_stripe_are_both_seen() {
+fn pages_1024_apart_have_independent_epochs() {
     let m = LockManager::default();
-    // Page ids 1024 apart share a stripe.
     let p = LockId::Page(PageId(7));
     let q = LockId::Page(PageId(7 + 1024));
     let (a, b) = (m.new_owner(), m.new_owner());
+    // A ξ on q leaves p's snapshot valid.
+    let vp = m.xi_epoch(p).unwrap();
+    m.lock(a, q, Xi);
+    assert!(!active(&m, p), "q's ξ is not p's");
+    m.unlock(a, q, Xi);
+    assert!(m.xi_validate(p, vp), "no false conflict");
+    // Each page's own ξ is still seen, also while the other holds ξ.
+    let vq = m.xi_epoch(q).unwrap();
     m.lock(a, p, Xi);
     m.lock(b, q, Xi);
+    assert!(active(&m, p) && active(&m, q));
     m.unlock(a, p, Xi);
-    assert!(active(&m, p), "q's ξ keeps the shared stripe active");
+    assert!(!active(&m, p) && active(&m, q));
+    assert!(!m.xi_validate(p, vp));
     m.unlock(b, q, Xi);
-    assert!(!active(&m, p) && !active(&m, q));
-    // A false conflict, never a missed one: ξ on q invalidates p.
-    let v = m.xi_epoch(p).unwrap();
-    m.lock(a, q, Xi);
-    m.unlock(a, q, Xi);
-    assert!(!m.xi_validate(p, v));
-    // A page in another stripe is untouched.
-    let r = LockId::Page(PageId(8));
-    let vr = m.xi_epoch(r).unwrap();
-    m.lock(a, p, Xi);
-    m.unlock(a, p, Xi);
-    assert!(m.xi_validate(r, vr));
+    assert!(!active(&m, q));
+    assert!(!m.xi_validate(q, vq));
 }
 
 #[test]

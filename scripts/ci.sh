@@ -24,6 +24,11 @@ cargo clippy -p ceh-obs --all-targets -- -D warnings
 echo "=== test ==="
 cargo test -q --workspace
 
+echo "=== test (release: ceh-locks, ceh-core) ==="
+# The workspace run above is a debug build; the lock-word fast path's
+# memory orderings must also hold optimized.
+cargo test -q --release -p ceh-locks -p ceh-core
+
 echo "=== chaos smoke ==="
 CEH_QUICK=1 cargo test -q -p ceh-harness --test chaos
 
